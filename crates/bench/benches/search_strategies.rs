@@ -1,11 +1,13 @@
 //! Benchmarks of the search strategies: executions per second and cost
 //! per explored execution for ICB against the baselines, on the paper's
 //! two smallest benchmarks — plus the telemetry overhead check (a
-//! `NoopObserver` search against one carrying a full `MetricsRecorder`).
+//! `NoopObserver` search against one feeding a live `MetricsRegistry`).
+
+use std::sync::Arc;
 
 use icb_bench::harness::Harness;
 use icb_core::search::{Search, SearchConfig, Strategy};
-use icb_telemetry::MetricsRecorder;
+use icb_core::MetricsRegistry;
 use icb_workloads::bluetooth::{bluetooth_model, BluetoothVariant};
 use icb_workloads::wsq::{wsq_model, WsqVariant};
 
@@ -84,9 +86,10 @@ fn icb_exhaustive_by_bound(c: &mut Harness) {
     group.finish();
 }
 
-/// The tentpole's zero-cost claim: a search driven through the
-/// `NoopObserver` must cost the same as the plain `search()` path, and a
-/// full `MetricsRecorder` should stay within a few percent.
+/// The observer layer's zero-cost claim: a search driven through the
+/// `NoopObserver` must cost the same as an unobserved search, and a
+/// search feeding a live `MetricsRegistry` should stay within a few
+/// percent.
 fn observer_overhead(c: &mut Harness) {
     let mut group = c.group("observer_overhead");
     group.sample_size(10);
@@ -95,14 +98,14 @@ fn observer_overhead(c: &mut Harness) {
     group.bench_function("noop", || {
         Search::over(&model).config(config.clone()).run().unwrap()
     });
-    group.bench_function("metrics_recorder", || {
-        let mut metrics = MetricsRecorder::new();
+    group.bench_function("metrics_registry", || {
+        let registry = Arc::new(MetricsRegistry::new());
         Search::over(&model)
             .config(config.clone())
-            .observer(&mut metrics)
+            .metrics(Arc::clone(&registry))
             .run()
             .unwrap();
-        metrics
+        registry
     });
     group.finish();
 }

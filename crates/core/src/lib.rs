@@ -19,11 +19,12 @@
 //!   [`Scheduler`]. Implemented by the stateless runtime (`icb-runtime`)
 //!   and by the explicit-state VM (`icb-statevm`).
 //! * [`Scheduler`] — decides which thread runs at every scheduling point.
-//! * Search strategies — [`search::IcbSearch`] (the paper's Algorithm 1 in
-//!   its stateless, replay-based form), plus the baselines it is evaluated
-//!   against: [`search::DfsSearch`] (optionally depth-bounded, the paper's
-//!   `dfs` / `db:N`), [`search::IterativeDeepeningSearch`] (`idfs`), and
-//!   [`search::RandomSearch`] (`random`).
+//! * [`Search`] — the one entry point for every search strategy:
+//!   [`Strategy::Icb`] (the paper's Algorithm 1 in its stateless,
+//!   replay-based form), plus the baselines it is evaluated against:
+//!   [`Strategy::Dfs`] / [`Strategy::DepthBounded`] (the paper's `dfs` /
+//!   `db:N`), [`Strategy::IterativeDeepening`] (`idfs`), and
+//!   [`Strategy::Random`] (`random`).
 //! * [`CoverageTracker`] — distinct-state coverage, the paper's metric.
 //!
 //! # Quick example
@@ -31,7 +32,7 @@
 //! ```
 //! use icb_core::{ControlledProgram, Scheduler, SchedulePoint, StateSink,
 //!                ExecutionResult, ExecutionOutcome, Tid, TraceEntry, ExecStats};
-//! use icb_core::search::{IcbSearch, SearchConfig};
+//! use icb_core::search::Search;
 //!
 //! /// A toy two-thread program over one shared variable; thread 1 asserts
 //! /// it observes the initial value, so some schedule exposes a "bug".
@@ -78,7 +79,7 @@
 //!     }
 //! }
 //!
-//! let report = IcbSearch::new(SearchConfig::default()).run(&Toy);
+//! let report = Search::over(&Toy).run().unwrap();
 //! assert!(!report.bugs.is_empty());
 //! // ICB finds the bug with the minimal number of preemptions: zero here,
 //! // because thread 0 can simply run (and terminate) before thread 1.

@@ -18,15 +18,16 @@ use std::collections::BinaryHeap;
 
 use crate::program::{ControlledProgram, SchedulePoint, Scheduler};
 use crate::search::{
-    execute_recovering, QuarantinedTrace, SearchConfig, SearchCtx, SearchReport, SearchStrategy,
+    execute_recovering, QuarantinedTrace, SearchConfig, SearchCtx, SearchReport, Strategy,
 };
-use crate::telemetry::{NoopObserver, SearchObserver};
+use crate::telemetry::SearchObserver;
 use crate::tid::Tid;
 use crate::trace::{DivergencePayload, ExecutionOutcome, Schedule};
 
-/// Best-first search prioritizing points with many enabled threads.
-#[derive(Clone, Debug, Default)]
-pub struct BestFirstSearch {
+/// Best-first search prioritizing points with many enabled threads: the
+/// driver behind [`Strategy::BestFirst`].
+#[derive(Debug)]
+pub(crate) struct BestFirstSearch {
     config: SearchConfig,
 }
 
@@ -34,28 +35,8 @@ impl BestFirstSearch {
     /// Creates the search. `config.max_executions` should be set: like
     /// random walk, best-first has no natural termination on large
     /// spaces (it does terminate when the whole tree is expanded).
-    pub fn new(config: SearchConfig) -> Self {
+    pub(crate) fn new(config: SearchConfig) -> Self {
         BestFirstSearch { config }
-    }
-
-    /// Runs the search.
-    #[deprecated(
-        note = "superseded by the unified builder: Search::over(program).strategy(Strategy::BestFirst).run()"
-    )]
-    pub fn run(&self, program: &dyn ControlledProgram) -> SearchReport {
-        self.drive(program, &mut NoopObserver)
-    }
-
-    /// Runs the search, streaming telemetry events to `observer`.
-    #[deprecated(
-        note = "superseded by the unified builder: Search::over(program).strategy(Strategy::BestFirst).observer(obs).run()"
-    )]
-    pub fn run_observed(
-        &self,
-        program: &dyn ControlledProgram,
-        observer: &mut dyn SearchObserver,
-    ) -> SearchReport {
-        self.drive(program, observer)
     }
 
     pub(crate) fn drive(
@@ -63,7 +44,8 @@ impl BestFirstSearch {
         program: &dyn ControlledProgram,
         observer: &mut dyn SearchObserver,
     ) -> SearchReport {
-        observer.search_started(&self.name());
+        let label = Strategy::BestFirst.label();
+        observer.search_started(&label);
         let mut ctx = SearchCtx::new(self.config.clone(), observer);
         // Max-heap on (score, insertion age): older first among equals
         // via Reverse(seq) for stable, deterministic order.
@@ -112,22 +94,7 @@ impl BestFirstSearch {
         if ctx.stop {
             completed = false;
         }
-        ctx.into_report(self.name(), completed, None, Vec::new(), false)
-    }
-}
-
-impl SearchStrategy for BestFirstSearch {
-    #[allow(deprecated)]
-    fn search_observed(
-        &self,
-        program: &dyn ControlledProgram,
-        observer: &mut dyn SearchObserver,
-    ) -> SearchReport {
-        self.drive(program, observer)
-    }
-
-    fn name(&self) -> String {
-        "best-first".to_string()
+        ctx.into_report(label, completed, None, Vec::new(), false)
     }
 }
 

@@ -8,20 +8,20 @@ use std::rc::Rc;
 use crate::cache::{coverage_credit, ExplorationCache};
 use crate::coverage::StateSink;
 use crate::program::{ControlledProgram, SchedulePoint, Scheduler};
-use crate::search::icb::{validate_branches, CursorSink, ItemCache};
+use crate::search::icb::{CursorSink, ItemCache};
 use crate::search::{
     execute_recovering, CacheBinding, QuarantinedTrace, SearchConfig, SearchCtx, SearchReport,
-    SearchStrategy,
+    Strategy,
 };
 use crate::snapshot::{
-    interrupt, BranchSnapshot, Checkpointer, DfsState, ResumeBase, SearchSnapshot, SnapshotError,
-    StrategyState,
+    interrupt, BranchSnapshot, Checkpointer, DfsState, ResumeBase, SearchSnapshot, StrategyState,
 };
-use crate::telemetry::{AbortReason, NoopObserver, SearchObserver};
+use crate::telemetry::{AbortReason, SearchObserver};
 use crate::tid::Tid;
 use crate::trace::{DivergencePayload, ExecutionOutcome, Schedule};
 
-/// Stateless depth-first search over the schedule tree.
+/// Stateless depth-first search over the schedule tree: the driver behind
+/// [`Strategy::Dfs`] and [`Strategy::DepthBounded`] at `jobs == 1`.
 ///
 /// At every scheduling point before the depth bound, the search branches
 /// over *all* enabled threads — preempting freely, which is exactly why it
@@ -30,93 +30,26 @@ use crate::trace::{DivergencePayload, ExecutionOutcome, Schedule};
 /// default preemption-free policy, but states visited there are not
 /// counted and bugs occurring there are not reported: the depth-bounded
 /// search semantics is "the tree truncated at depth `N`".
-#[derive(Clone, Debug, Default)]
-pub struct DfsSearch {
+#[derive(Debug)]
+pub(crate) struct DfsSearch {
     config: SearchConfig,
     depth_bound: Option<usize>,
 }
 
 impl DfsSearch {
-    /// Unbounded depth-first search (the paper's `dfs`).
-    pub fn new(config: SearchConfig) -> Self {
+    /// Unbounded (`None`) or depth-bounded (`Some(bound)`) search.
+    pub(crate) fn new(config: SearchConfig, depth_bound: Option<usize>) -> Self {
         DfsSearch {
             config,
-            depth_bound: None,
+            depth_bound,
         }
     }
 
-    /// Depth-first search truncated at `bound` steps (the paper's
-    /// `db:N`).
-    pub fn with_depth_bound(config: SearchConfig, bound: usize) -> Self {
-        DfsSearch {
-            config,
-            depth_bound: Some(bound),
+    fn label(&self) -> String {
+        match self.depth_bound {
+            Some(b) => Strategy::DepthBounded(b).label(),
+            None => Strategy::Dfs.label(),
         }
-    }
-
-    /// Runs the search.
-    #[deprecated(
-        note = "superseded by the unified builder: Search::over(program).strategy(Strategy::Dfs).run()"
-    )]
-    pub fn run(&self, program: &dyn ControlledProgram) -> SearchReport {
-        self.drive(program, &mut NoopObserver, None, Vec::new(), None, None)
-    }
-
-    /// Runs the search, streaming telemetry events to `observer`.
-    #[deprecated(
-        note = "superseded by the unified builder: Search::over(program).strategy(Strategy::Dfs).observer(obs).run()"
-    )]
-    pub fn run_observed(
-        &self,
-        program: &dyn ControlledProgram,
-        observer: &mut dyn SearchObserver,
-    ) -> SearchReport {
-        self.drive(program, observer, None, Vec::new(), None, None)
-    }
-
-    /// Runs the search with periodic checkpointing (see
-    /// [`IcbSearch::run_checkpointed`](crate::search::IcbSearch::run_checkpointed)
-    /// for the contract).
-    #[deprecated(
-        note = "superseded by the unified builder: Search::over(program).strategy(Strategy::Dfs).observer(obs).checkpoint(ck).run()"
-    )]
-    pub fn run_checkpointed(
-        &self,
-        program: &dyn ControlledProgram,
-        observer: &mut dyn SearchObserver,
-        ckpt: &mut Checkpointer,
-    ) -> SearchReport {
-        self.drive(program, observer, Some(ckpt), Vec::new(), None, None)
-    }
-
-    /// Resumes a search from a checkpoint written by
-    /// [`run_checkpointed`](DfsSearch::run_checkpointed); the final
-    /// report matches the uninterrupted run's.
-    #[deprecated(
-        note = "superseded by the unified builder: Search::over(program).resume_from(snapshot).run()"
-    )]
-    pub fn resume(
-        program: &dyn ControlledProgram,
-        snapshot: SearchSnapshot,
-        observer: &mut dyn SearchObserver,
-        ckpt: Option<&mut Checkpointer>,
-    ) -> Result<SearchReport, SnapshotError> {
-        let state = match snapshot.state {
-            StrategyState::Dfs(state) => state,
-            _ => {
-                return Err(SnapshotError::WrongStrategy {
-                    expected: "dfs".to_string(),
-                    found: snapshot.strategy,
-                })
-            }
-        };
-        validate_branches(&state.stack)?;
-        let search = match state.depth_bound {
-            Some(b) => DfsSearch::with_depth_bound(snapshot.config, b),
-            None => DfsSearch::new(snapshot.config),
-        };
-        let stack = state.stack.into_iter().map(Branch::from).collect();
-        Ok(search.drive(program, observer, ckpt, stack, Some(snapshot.base), None))
     }
 
     pub(crate) fn drive(
@@ -128,7 +61,8 @@ impl DfsSearch {
         base: Option<ResumeBase>,
         cache: Option<CacheBinding<'_>>,
     ) -> SearchReport {
-        observer.search_started(&self.name());
+        let label = self.label();
+        observer.search_started(&label);
         let mut ctx = SearchCtx::new(self.config.clone(), observer);
         if let Some(base) = base {
             let executions = base.executions;
@@ -154,7 +88,7 @@ impl DfsSearch {
                 &mut None,
                 initial_stack,
                 &mut ckpt,
-                &self.name(),
+                &label,
                 cache.as_ref().map(|b| b.cache),
             )
         };
@@ -163,42 +97,20 @@ impl DfsSearch {
                 ck.finish();
             }
         }
-        ctx.into_report(self.name(), completed, None, Vec::new(), false)
-    }
-
-    /// Returns the depth bound, if any.
-    pub fn depth_bound(&self) -> Option<usize> {
-        self.depth_bound
+        ctx.into_report(label, completed, None, Vec::new(), false)
     }
 }
 
-impl SearchStrategy for DfsSearch {
-    #[allow(deprecated)]
-    fn search_observed(
-        &self,
-        program: &dyn ControlledProgram,
-        observer: &mut dyn SearchObserver,
-    ) -> SearchReport {
-        self.drive(program, observer, None, Vec::new(), None, None)
-    }
-
-    fn name(&self) -> String {
-        match self.depth_bound {
-            Some(b) => format!("db:{b}"),
-            None => "dfs".to_string(),
-        }
-    }
-}
-
-/// Iterative depth-bounding (the paper's `idfs`): repeat depth-bounded
-/// DFS with bounds `start, start + step, …` up to `max`, sharing one
-/// coverage set and execution budget.
+/// Iterative depth-bounding (the paper's `idfs`, the driver behind
+/// [`Strategy::IterativeDeepening`]): repeat depth-bounded DFS with
+/// bounds `start, start + step, …` up to `max`, sharing one coverage set
+/// and execution budget.
 ///
 /// The iteration stops early once a bound exceeds the longest execution
 /// seen (deepening further cannot reach new states) or the budget runs
 /// out.
-#[derive(Clone, Debug)]
-pub struct IterativeDeepeningSearch {
+#[derive(Debug)]
+pub(crate) struct IterativeDeepeningSearch {
     config: SearchConfig,
     start: usize,
     step: usize,
@@ -208,7 +120,7 @@ pub struct IterativeDeepeningSearch {
 impl IterativeDeepeningSearch {
     /// Creates an iterative-deepening search with bounds
     /// `start, start + step, …, ≤ max`.
-    pub fn new(config: SearchConfig, start: usize, step: usize, max: usize) -> Self {
+    pub(crate) fn new(config: SearchConfig, start: usize, step: usize, max: usize) -> Self {
         assert!(step > 0, "deepening step must be positive");
         IterativeDeepeningSearch {
             config,
@@ -218,32 +130,18 @@ impl IterativeDeepeningSearch {
         }
     }
 
-    /// Runs the search.
-    #[deprecated(
-        note = "superseded by the unified builder: Search::over(program).strategy(Strategy::IterativeDeepening { .. }).run()"
-    )]
-    pub fn run(&self, program: &dyn ControlledProgram) -> SearchReport {
-        self.drive(program, &mut NoopObserver)
-    }
-
-    /// Runs the search, streaming telemetry events to `observer`.
-    #[deprecated(
-        note = "superseded by the unified builder: Search::over(program).strategy(Strategy::IterativeDeepening { .. }).observer(obs).run()"
-    )]
-    pub fn run_observed(
-        &self,
-        program: &dyn ControlledProgram,
-        observer: &mut dyn SearchObserver,
-    ) -> SearchReport {
-        self.drive(program, observer)
-    }
-
     pub(crate) fn drive(
         &self,
         program: &dyn ControlledProgram,
         observer: &mut dyn SearchObserver,
     ) -> SearchReport {
-        observer.search_started(&self.name());
+        let label = Strategy::IterativeDeepening {
+            start: self.start,
+            step: self.step,
+            max: self.max,
+        }
+        .label();
+        observer.search_started(&label);
         let mut ctx = SearchCtx::new(self.config.clone(), observer);
         let mut completed = false;
         let mut bound = self.start;
@@ -256,7 +154,7 @@ impl IterativeDeepeningSearch {
                 &mut max_len,
                 Vec::new(),
                 &mut None,
-                "idfs",
+                &label,
                 None,
             );
             if ctx.stop {
@@ -272,22 +170,7 @@ impl IterativeDeepeningSearch {
             }
             bound = (bound + self.step).min(self.max);
         }
-        ctx.into_report(self.name(), completed, None, Vec::new(), false)
-    }
-}
-
-impl SearchStrategy for IterativeDeepeningSearch {
-    #[allow(deprecated)]
-    fn search_observed(
-        &self,
-        program: &dyn ControlledProgram,
-        observer: &mut dyn SearchObserver,
-    ) -> SearchReport {
-        self.drive(program, observer)
-    }
-
-    fn name(&self) -> String {
-        format!("idfs-{}", self.max)
+        ctx.into_report(label, completed, None, Vec::new(), false)
     }
 }
 
@@ -710,14 +593,25 @@ mod tests {
 
     #[test]
     fn strategy_names() {
-        assert_eq!(DfsSearch::new(SearchConfig::default()).name(), "dfs");
-        assert_eq!(
-            DfsSearch::with_depth_bound(SearchConfig::default(), 40).name(),
-            "db:40"
-        );
-        assert_eq!(
-            IterativeDeepeningSearch::new(SearchConfig::default(), 10, 10, 100).name(),
-            "idfs-100"
-        );
+        let p = Counters {
+            n: 2,
+            k: 2,
+            bug: None,
+        };
+        for (strategy, label) in [
+            (Strategy::Dfs, "dfs"),
+            (Strategy::DepthBounded(40), "db:40"),
+            (
+                Strategy::IterativeDeepening {
+                    start: 10,
+                    step: 10,
+                    max: 100,
+                },
+                "idfs-100",
+            ),
+        ] {
+            let report = Search::over(&p).strategy(strategy).run().unwrap();
+            assert_eq!(report.strategy, label);
+        }
     }
 }

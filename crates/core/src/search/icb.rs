@@ -41,145 +41,26 @@ use crate::cache::{coverage_credit, ExplorationCache, FAULT_PROBE_SALT};
 use crate::coverage::StateSink;
 use crate::program::{ControlledProgram, FaultPoint, SchedulePoint, Scheduler};
 use crate::search::{
-    execute_recovering, BoundStats, BugReport, CacheBinding, QuarantinedTrace, SearchConfig,
-    SearchCtx, SearchReport, SearchStrategy,
+    execute_recovering, BoundStats, CacheBinding, QuarantinedTrace, SearchConfig, SearchCtx,
+    SearchReport, Strategy,
 };
 use crate::snapshot::{
     interrupt, BranchSnapshot, Checkpointer, IcbState, SearchSnapshot, SnapshotError, StrategyState,
 };
-use crate::telemetry::{AbortReason, NoopObserver, SearchObserver};
+use crate::telemetry::{AbortReason, SearchObserver};
 use crate::tid::Tid;
 use crate::trace::{DivergencePayload, ExecutionOutcome, Schedule};
 
-/// The iterative context-bounding search.
-///
-/// # Examples
-///
-/// Exhaustively exploring a program and reading the per-bound statistics:
-///
-/// ```no_run
-/// use icb_core::search::{IcbSearch, SearchConfig};
-/// # fn program() -> Box<dyn icb_core::ControlledProgram> { unimplemented!() }
-/// let report = IcbSearch::new(SearchConfig::default()).run(&*program());
-/// for b in &report.bound_history {
-///     println!("bound {}: {} executions, {} states",
-///              b.bound, b.executions, b.cumulative_states);
-/// }
-/// ```
-#[derive(Clone, Debug, Default)]
-pub struct IcbSearch {
+/// The iterative context-bounding driver behind [`Strategy::Icb`] at
+/// `jobs == 1`.
+#[derive(Debug)]
+pub(crate) struct IcbSearch {
     config: SearchConfig,
 }
 
 impl IcbSearch {
-    /// Creates the search with the given configuration.
-    pub fn new(config: SearchConfig) -> Self {
+    pub(crate) fn new(config: SearchConfig) -> Self {
         IcbSearch { config }
-    }
-
-    /// Creates a search that explores all executions with at most `bound`
-    /// preemptions and stops.
-    pub fn up_to_bound(bound: usize) -> Self {
-        IcbSearch {
-            config: SearchConfig {
-                preemption_bound: Some(bound),
-                ..SearchConfig::default()
-            },
-        }
-    }
-
-    /// Finds a bug with the *minimal* number of preemptions, if the
-    /// program has one reachable within `max_executions` executions.
-    ///
-    /// Minimality holds because ICB completes every bound before starting
-    /// the next: if the returned bug has `c` preemptions, every execution
-    /// with fewer preemptions was explored and found correct.
-    #[deprecated(
-        note = "superseded by the unified builder: Search::over(program).config(..).run() plus bug selection"
-    )]
-    pub fn find_minimal_bug(
-        program: &dyn ControlledProgram,
-        max_executions: usize,
-    ) -> Option<BugReport> {
-        let search = IcbSearch::new(SearchConfig {
-            max_executions: Some(max_executions),
-            stop_on_first_bug: true,
-            ..SearchConfig::default()
-        });
-        search
-            .drive(program, &mut NoopObserver, None, None, None)
-            .bugs
-            .into_iter()
-            .next()
-    }
-
-    /// Runs the search.
-    #[deprecated(note = "superseded by the unified builder: Search::over(program).run()")]
-    pub fn run(&self, program: &dyn ControlledProgram) -> SearchReport {
-        self.drive(program, &mut NoopObserver, None, None, None)
-    }
-
-    /// Runs the search, streaming telemetry events to `observer`.
-    #[deprecated(
-        note = "superseded by the unified builder: Search::over(program).observer(obs).run()"
-    )]
-    pub fn run_observed(
-        &self,
-        program: &dyn ControlledProgram,
-        observer: &mut dyn SearchObserver,
-    ) -> SearchReport {
-        self.drive(program, observer, None, None, None)
-    }
-
-    /// Runs the search with periodic checkpointing: a [`SearchSnapshot`]
-    /// is written atomically through `ckpt` every
-    /// [`Checkpointer`]-configured number of executions, on any abort
-    /// (budget, timeout, first bug, Ctrl-C), and removed on clean
-    /// completion. When checkpointing, the search also polls
-    /// [`interrupt::interrupted`] between executions and halts with
-    /// [`AbortReason::Interrupted`] after writing a final snapshot.
-    #[deprecated(
-        note = "superseded by the unified builder: Search::over(program).observer(obs).checkpoint(ck).run()"
-    )]
-    pub fn run_checkpointed(
-        &self,
-        program: &dyn ControlledProgram,
-        observer: &mut dyn SearchObserver,
-        ckpt: &mut Checkpointer,
-    ) -> SearchReport {
-        self.drive(program, observer, Some(ckpt), None, None)
-    }
-
-    /// Resumes a search from a checkpoint written by
-    /// [`run_checkpointed`](IcbSearch::run_checkpointed).
-    ///
-    /// Because snapshots are taken at execution boundaries and replay is
-    /// deterministic, the resumed search produces a final report
-    /// identical to the uninterrupted run's. Pass a [`Checkpointer`] to
-    /// keep checkpointing the resumed segment.
-    #[deprecated(
-        note = "superseded by the unified builder: Search::over(program).resume_from(snapshot).run()"
-    )]
-    pub fn resume(
-        program: &dyn ControlledProgram,
-        snapshot: SearchSnapshot,
-        observer: &mut dyn SearchObserver,
-        ckpt: Option<&mut Checkpointer>,
-    ) -> Result<SearchReport, SnapshotError> {
-        let state = match snapshot.state {
-            StrategyState::Icb(state) => state,
-            _ => {
-                return Err(SnapshotError::WrongStrategy {
-                    expected: "icb".to_string(),
-                    found: snapshot.strategy,
-                })
-            }
-        };
-        if let Some((_, stack)) = &state.in_progress {
-            validate_branches(stack)?;
-        }
-        let search = IcbSearch::new(snapshot.config);
-        Ok(search.drive(program, observer, ckpt, Some((snapshot.base, state)), None))
     }
 
     /// The single engine behind fresh, checkpointed and resumed runs.
@@ -191,7 +72,7 @@ impl IcbSearch {
         resume: Option<(crate::snapshot::ResumeBase, IcbState)>,
         cache: Option<CacheBinding<'_>>,
     ) -> SearchReport {
-        observer.search_started("icb");
+        observer.search_started(&Strategy::Icb.label());
         let mut ctx = SearchCtx::new(self.config.clone(), observer);
         if let Some(binding) = &cache {
             ctx.attach_cache(binding.heuristic);
@@ -390,7 +271,7 @@ impl Driver<'_, '_> {
 
     fn finish(self) -> SearchReport {
         self.ctx.into_report(
-            "icb".to_string(),
+            Strategy::Icb.label(),
             self.completed,
             self.completed_bound,
             self.bound_history,
@@ -576,7 +457,7 @@ impl Driver<'_, '_> {
         base.truncated = self.truncated;
         let executions = base.executions;
         let snapshot = SearchSnapshot {
-            strategy: "icb".to_string(),
+            strategy: Strategy::Icb.label(),
             meta: ck.meta().to_vec(),
             config: self.ctx.config.clone(),
             base,
@@ -616,21 +497,6 @@ pub(crate) fn validate_branches(stack: &[BranchSnapshot]) -> Result<(), Snapshot
         }
     }
     Ok(())
-}
-
-impl SearchStrategy for IcbSearch {
-    #[allow(deprecated)]
-    fn search_observed(
-        &self,
-        program: &dyn ControlledProgram,
-        observer: &mut dyn SearchObserver,
-    ) -> SearchReport {
-        self.drive(program, observer, None, None, None)
-    }
-
-    fn name(&self) -> String {
-        "icb".to_string()
-    }
 }
 
 /// A nonpreempting branch point within one work item's nested DFS.
@@ -871,7 +737,7 @@ impl Scheduler for ItemScheduler<'_> {
 mod tests {
     use super::*;
     use crate::bounds;
-    use crate::search::testprog::{schedule_count, Counters};
+    use crate::search::testprog::{first_bug, schedule_count, Counters};
     use crate::search::Search;
 
     #[test]
@@ -945,8 +811,7 @@ mod tests {
             k: 2,
             bug: Some((1, 0, 1)),
         };
-        #[allow(deprecated)] // shim regression: the convenience entry point
-        let bug = IcbSearch::find_minimal_bug(&p, 10_000).expect("bug must be found");
+        let bug = first_bug(&p, 10_000).expect("bug must be found");
         assert_eq!(bug.preemptions, 1);
     }
 
@@ -959,8 +824,7 @@ mod tests {
             k: 2,
             bug: Some((1, 0, 2)),
         };
-        #[allow(deprecated)] // shim regression: the convenience entry point
-        let bug = IcbSearch::find_minimal_bug(&p, 10_000).expect("bug must be found");
+        let bug = first_bug(&p, 10_000).expect("bug must be found");
         assert_eq!(bug.preemptions, 0);
     }
 
@@ -971,8 +835,7 @@ mod tests {
             k: 3,
             bug: Some((1, 1, 3)),
         };
-        #[allow(deprecated)] // shim regression: the convenience entry point
-        let bug = IcbSearch::find_minimal_bug(&p, 100_000).expect("bug must be found");
+        let bug = first_bug(&p, 100_000).expect("bug must be found");
         let mut replay = crate::replay::ReplayScheduler::new(bug.schedule.clone());
         let result =
             crate::ControlledProgram::execute(&p, &mut replay, &mut crate::coverage::NullSink);

@@ -3,19 +3,19 @@
 //!
 //! [`ControlledProgram`]: crate::program::ControlledProgram
 //!
-//! * [`IcbSearch`] — **iterative context bounding**, the paper's
+//! * [`Strategy::Icb`] — **iterative context bounding**, the paper's
 //!   Algorithm 1 in its stateless (replay-based) form: all executions with
 //!   `i` preemptions are explored before any execution with `i + 1`.
-//! * [`DfsSearch`] — depth-first enumeration of all schedules, optionally
-//!   depth-bounded (the paper's `dfs` and `db:N` baselines).
-//! * [`IterativeDeepeningSearch`] — iterative depth-bounding (`idfs`).
-//! * [`RandomSearch`] — uniform random walk (`random`).
-//! * [`BestFirstSearch`] — the Groce–Visser "more enabled threads"
+//! * [`Strategy::Dfs`] / [`Strategy::DepthBounded`] — depth-first
+//!   enumeration of all schedules, optionally depth-bounded (the paper's
+//!   `dfs` and `db:N` baselines).
+//! * [`Strategy::IterativeDeepening`] — iterative depth-bounding (`idfs`).
+//! * [`Strategy::Random`] — uniform random walk (`random`).
+//! * [`Strategy::BestFirst`] — the Groce–Visser "more enabled threads"
 //!   heuristic from the paper's related work.
 //!
-//! All strategies share [`SearchConfig`] / [`SearchReport`] and implement
-//! the object-safe [`SearchStrategy`] trait so the benchmark harness can
-//! treat them uniformly.
+//! Every strategy runs through the one [`Search`] builder and shares
+//! [`SearchConfig`] / [`SearchReport`].
 
 mod bestfirst;
 mod dfs;
@@ -25,18 +25,14 @@ mod parallel;
 mod random;
 mod session;
 
-pub use bestfirst::BestFirstSearch;
-pub use dfs::{DfsSearch, IterativeDeepeningSearch};
 pub use frontier::Frontier;
-pub use icb::IcbSearch;
-pub use random::RandomSearch;
 pub use session::{Search, SearchError, Strategy};
 
 use crate::cache::ExplorationCache;
 use crate::coverage::{CoverageTracker, StateSink};
 use crate::program::{ControlledProgram, Scheduler};
 use crate::snapshot::ResumeBase;
-use crate::telemetry::{AbortReason, ChoiceKind, NoopObserver, ResumeInfo, SearchObserver, SiteId};
+use crate::telemetry::{AbortReason, ChoiceKind, ResumeInfo, SearchObserver, SiteId};
 use crate::tid::Tid;
 use crate::trace::{
     DivergencePayload, ExecStats, ExecutionOutcome, ExecutionResult, Schedule, Trace,
@@ -48,11 +44,11 @@ pub struct SearchConfig {
     /// Stop after this many executions (`None` = unlimited; prefer a
     /// limit for programs whose schedule space you have not measured).
     pub max_executions: Option<usize>,
-    /// For [`IcbSearch`]: stop after *completing* this preemption bound.
+    /// For [`Strategy::Icb`]: stop after *completing* this preemption bound.
     /// `None` iterates until the space is exhausted or another limit
     /// triggers.
     pub preemption_bound: Option<usize>,
-    /// For [`IcbSearch`]: the iterative *fault bound* `f`, composing
+    /// For [`Strategy::Icb`]: the iterative *fault bound* `f`, composing
     /// lexicographically with the preemption bound `c` — levels are
     /// explored in the order `(0,0), (0,1), …, (0,f), (1,0), …`, so the
     /// first bug found carries a minimum-`(preemptions, faults)`
@@ -64,7 +60,7 @@ pub struct SearchConfig {
     /// Keep at most this many bug reports (further buggy executions are
     /// still counted in [`SearchReport::buggy_executions`]).
     pub max_bug_reports: usize,
-    /// Hard cap on the deferred work queue of [`IcbSearch`]; exceeding it
+    /// Hard cap on the deferred work queue of [`Strategy::Icb`]; exceeding it
     /// sets [`SearchReport::truncated`]. `None` = unbounded.
     pub max_work_queue: Option<usize>,
     /// Wall-clock budget: the search stops (incomplete) after this long.
@@ -119,7 +115,7 @@ pub struct BugReport {
     /// The complete schedule of the failing execution — replay it with
     /// [`crate::ReplayScheduler`] to reproduce the bug deterministically.
     pub schedule: Schedule,
-    /// Number of preemptions in the failing execution. For [`IcbSearch`]
+    /// Number of preemptions in the failing execution. For [`Strategy::Icb`]
     /// the first report's value is *minimal* over all failing executions
     /// (lexicographically in `(preemptions, faults)` when a fault bound
     /// is set).
@@ -153,7 +149,7 @@ pub struct QuarantinedTrace {
     pub actual: Vec<Tid>,
 }
 
-/// Statistics for one completed preemption bound of [`IcbSearch`] — or,
+/// Statistics for one completed preemption bound of [`Strategy::Icb`] — or,
 /// when a fault bound is set, one `(preemption, fault)` level of the
 /// lexicographic grid (one row per level, identified by
 /// `(bound, faults)`).
@@ -223,9 +219,9 @@ pub struct SearchReport {
     pub buggy_executions: usize,
     /// `true` if the schedule space was exhausted within the limits.
     pub completed: bool,
-    /// Highest preemption bound fully explored ([`IcbSearch`] only).
+    /// Highest preemption bound fully explored ([`Strategy::Icb`] only).
     pub completed_bound: Option<usize>,
-    /// Per-bound statistics ([`IcbSearch`] only).
+    /// Per-bound statistics ([`Strategy::Icb`] only).
     pub bound_history: Vec<BoundStats>,
     /// Pointwise maxima of the per-execution statistics (Table 1).
     pub max_stats: ExecStats,
@@ -252,7 +248,7 @@ impl SearchReport {
         self.bugs.first()
     }
 
-    /// The per-bound statistics ([`IcbSearch`] only) — the rows streamed
+    /// The per-bound statistics ([`Strategy::Icb`] only) — the rows streamed
     /// through [`SearchObserver::bound_completed`] during the search.
     pub fn bound_stats(&self) -> &[BoundStats] {
         &self.bound_history
@@ -320,32 +316,6 @@ impl std::fmt::Display for SearchReport {
         }
         Ok(())
     }
-}
-
-/// Object-safe interface over all search strategies.
-pub trait SearchStrategy {
-    /// Runs the search against `program`, streaming telemetry events to
-    /// `observer`.
-    #[deprecated(
-        note = "superseded by the unified builder: Search::over(program).strategy(..).observer(obs).run()"
-    )]
-    fn search_observed(
-        &self,
-        program: &dyn ControlledProgram,
-        observer: &mut dyn SearchObserver,
-    ) -> SearchReport;
-
-    /// Runs the search without telemetry (a [`NoopObserver`]).
-    #[deprecated(
-        note = "superseded by the unified builder: Search::over(program).strategy(..).run()"
-    )]
-    fn search(&self, program: &dyn ControlledProgram) -> SearchReport {
-        #[allow(deprecated)]
-        self.search_observed(program, &mut NoopObserver)
-    }
-
-    /// Short label for reports and plots (`icb`, `dfs`, `db:40`, …).
-    fn name(&self) -> String;
 }
 
 /// A fingerprint cache attached to one search run, resolved by the
@@ -729,6 +699,7 @@ pub(crate) mod testprog {
 
     use crate::coverage::{fingerprint_bytes, StateSink};
     use crate::program::{ControlledProgram, FaultPoint, SchedulePoint, Scheduler};
+    use crate::search::{BugReport, Search, SearchConfig};
     use crate::telemetry::SiteId;
     use crate::tid::Tid;
     use crate::trace::{ExecutionOutcome, ExecutionResult, Trace, TraceEntry};
@@ -870,6 +841,25 @@ pub(crate) mod testprog {
             };
             ExecutionResult::from_trace(outcome, trace)
         }
+    }
+
+    /// The first bug of a stop-on-first-bug ICB search within
+    /// `max_executions` — a minimal-preemption witness.
+    pub(crate) fn first_bug(
+        program: &(dyn ControlledProgram + Sync),
+        max_executions: usize,
+    ) -> Option<BugReport> {
+        Search::over(program)
+            .config(SearchConfig {
+                max_executions: Some(max_executions),
+                stop_on_first_bug: true,
+                ..SearchConfig::default()
+            })
+            .run()
+            .expect("valid configuration")
+            .bugs
+            .into_iter()
+            .next()
     }
 
     /// Total number of schedules of `n` threads × `k` steps:
@@ -1016,25 +1006,5 @@ mod config_tests {
             .run()
             .unwrap();
         assert_eq!(obs.attributed, 0, "gate defaults to off");
-    }
-
-    #[test]
-    fn zero_duration_budget_stops_after_one_execution() {
-        let p = Counters {
-            n: 3,
-            k: 3,
-            bug: None,
-        };
-        // The builder rejects a zero max_duration up front
-        // (SearchError::ZeroDuration); the deprecated shim still clamps
-        // to one execution, which this regression test pins down.
-        #[allow(deprecated)]
-        let report = IcbSearch::new(SearchConfig {
-            max_duration: Some(std::time::Duration::ZERO),
-            ..SearchConfig::default()
-        })
-        .run(&p);
-        assert_eq!(report.executions, 1);
-        assert!(!report.completed);
     }
 }

@@ -52,7 +52,7 @@ use crate::search::frontier::Frontier;
 use crate::search::icb::{Branch as IcbBranch, CursorSink, ItemCache, ItemScheduler};
 use crate::search::{
     choice_events, execute_recovering, fault_events, BoundStats, BugReport, CacheBinding,
-    CacheSummary, ChoiceEvent, QuarantinedTrace, SearchConfig, SearchReport,
+    CacheSummary, ChoiceEvent, QuarantinedTrace, SearchConfig, SearchReport, Strategy,
 };
 use crate::snapshot::{
     interrupt, Checkpointer, IcbState, ParallelDfsState, ParallelRandomState, ResumeBase,
@@ -921,7 +921,7 @@ fn write_icb_checkpoint(
     let base = ledger.snapshot_base();
     let executions = base.executions;
     let snapshot = SearchSnapshot {
-        strategy: "icb".to_string(),
+        strategy: Strategy::Icb.label(),
         meta: ck.meta().to_vec(),
         config: ledger.config.clone(),
         base,
@@ -1019,7 +1019,7 @@ pub(crate) fn run_parallel_icb(
     cache: Option<CacheBinding<'_>>,
     metrics: Option<Arc<MetricsRegistry>>,
 ) -> SearchReport {
-    observer.search_started("icb");
+    observer.search_started(&Strategy::Icb.label());
     if let Some(m) = &metrics {
         m.set_workers(jobs);
     }
@@ -1243,7 +1243,12 @@ pub(crate) fn run_parallel_icb(
         }
     }
     let (completed_bound, bound_history) = (bc.completed_bound, bc.bound_history);
-    ledger.into_report("icb".to_string(), completed, completed_bound, bound_history)
+    ledger.into_report(
+        Strategy::Icb.label(),
+        completed,
+        completed_bound,
+        bound_history,
+    )
 }
 
 // ---------------------------------------------------------------------
@@ -1521,9 +1526,10 @@ pub(crate) fn run_parallel_dfs(
     metrics: Option<Arc<MetricsRegistry>>,
 ) -> SearchReport {
     let label = match depth_bound {
-        Some(b) => format!("db:{b}"),
-        None => "dfs".to_string(),
-    };
+        Some(b) => Strategy::DepthBounded(b),
+        None => Strategy::Dfs,
+    }
+    .label();
     observer.search_started(&label);
     if let Some(m) = &metrics {
         m.set_workers(jobs);
@@ -1874,7 +1880,7 @@ fn write_random_checkpoint(
     let base = ledger.snapshot_base();
     let executions = base.executions;
     let snapshot = SearchSnapshot {
-        strategy: "random".to_string(),
+        strategy: Strategy::Random { seed }.label(),
         meta: ck.meta().to_vec(),
         config: ledger.config.clone(),
         base,
@@ -1901,7 +1907,7 @@ pub(crate) fn run_parallel_random(
     resume: Option<(ResumeBase, ParallelRandomState)>,
     metrics: Option<Arc<MetricsRegistry>>,
 ) -> SearchReport {
-    observer.search_started("random");
+    observer.search_started(&Strategy::Random { seed }.label());
     if let Some(m) = &metrics {
         m.set_workers(jobs);
     }
@@ -2010,7 +2016,7 @@ pub(crate) fn run_parallel_random(
     }
     ledger.curve.push((ledger.executions, ledger.master.len()));
     // Like the sequential walk, a random search never exhausts its space.
-    ledger.into_report("random".to_string(), false, None, Vec::new())
+    ledger.into_report(Strategy::Random { seed }.label(), false, None, Vec::new())
 }
 
 /// [`quiesce`] for the random walk's claimer.

@@ -3,21 +3,22 @@
 
 use crate::program::{ControlledProgram, SchedulePoint, Scheduler};
 use crate::rng::SplitMix64;
-use crate::search::{SearchConfig, SearchCtx, SearchReport, SearchStrategy};
+use crate::search::{SearchConfig, SearchCtx, SearchReport, Strategy};
 use crate::snapshot::{
-    interrupt, Checkpointer, RandomState, ResumeBase, SearchSnapshot, SnapshotError, StrategyState,
+    interrupt, Checkpointer, RandomState, ResumeBase, SearchSnapshot, StrategyState,
 };
-use crate::telemetry::{AbortReason, NoopObserver, SearchObserver};
+use crate::telemetry::{AbortReason, SearchObserver};
 use crate::tid::Tid;
 
-/// Repeated executions under a uniformly random scheduler.
+/// Repeated executions under a uniformly random scheduler: the driver
+/// behind [`Strategy::Random`] at `jobs == 1`.
 ///
 /// Random walk has no termination criterion and no coverage guarantee —
 /// the paper uses it to show that ICB's *systematic* enumeration also
 /// beats unguided sampling on coverage growth. The walk is seeded for
 /// reproducibility.
-#[derive(Clone, Debug)]
-pub struct RandomSearch {
+#[derive(Debug)]
+pub(crate) struct RandomSearch {
     config: SearchConfig,
     seed: u64,
 }
@@ -27,76 +28,12 @@ impl RandomSearch {
     ///
     /// `config.max_executions` must be set: a random walk never exhausts
     /// the space on its own.
-    pub fn new(config: SearchConfig, seed: u64) -> Self {
+    pub(crate) fn new(config: SearchConfig, seed: u64) -> Self {
         assert!(
             config.max_executions.is_some(),
             "random search requires an execution budget"
         );
         RandomSearch { config, seed }
-    }
-
-    /// Runs the search.
-    #[deprecated(
-        note = "superseded by the unified builder: Search::over(program).strategy(Strategy::Random { seed }).run()"
-    )]
-    pub fn run(&self, program: &dyn ControlledProgram) -> SearchReport {
-        self.drive(program, &mut NoopObserver, None, None)
-    }
-
-    /// Runs the search, streaming telemetry events to `observer`.
-    #[deprecated(
-        note = "superseded by the unified builder: Search::over(program).strategy(Strategy::Random { seed }).observer(obs).run()"
-    )]
-    pub fn run_observed(
-        &self,
-        program: &dyn ControlledProgram,
-        observer: &mut dyn SearchObserver,
-    ) -> SearchReport {
-        self.drive(program, observer, None, None)
-    }
-
-    /// Runs the search with periodic checkpointing (see
-    /// [`IcbSearch::run_checkpointed`](crate::search::IcbSearch::run_checkpointed)
-    /// for the contract). The snapshot stores the raw generator state,
-    /// so the resumed walk continues the exact random stream.
-    #[deprecated(
-        note = "superseded by the unified builder: Search::over(program).strategy(Strategy::Random { seed }).observer(obs).checkpoint(ck).run()"
-    )]
-    pub fn run_checkpointed(
-        &self,
-        program: &dyn ControlledProgram,
-        observer: &mut dyn SearchObserver,
-        ckpt: &mut Checkpointer,
-    ) -> SearchReport {
-        self.drive(program, observer, Some(ckpt), None)
-    }
-
-    /// Resumes a walk from a checkpoint written by
-    /// [`run_checkpointed`](RandomSearch::run_checkpointed); the final
-    /// report matches the uninterrupted run's.
-    #[deprecated(
-        note = "superseded by the unified builder: Search::over(program).resume_from(snapshot).run()"
-    )]
-    pub fn resume(
-        program: &dyn ControlledProgram,
-        snapshot: SearchSnapshot,
-        observer: &mut dyn SearchObserver,
-        ckpt: Option<&mut Checkpointer>,
-    ) -> Result<SearchReport, SnapshotError> {
-        let state = match snapshot.state {
-            StrategyState::Random(state) => state,
-            _ => {
-                return Err(SnapshotError::WrongStrategy {
-                    expected: "random".to_string(),
-                    found: snapshot.strategy,
-                })
-            }
-        };
-        let search = RandomSearch {
-            config: snapshot.config,
-            seed: 0, // unused: the walk continues from the raw state
-        };
-        Ok(search.drive(program, observer, ckpt, Some((snapshot.base, state))))
     }
 
     pub(crate) fn drive(
@@ -106,7 +43,8 @@ impl RandomSearch {
         mut ckpt: Option<&mut Checkpointer>,
         resume: Option<(ResumeBase, RandomState)>,
     ) -> SearchReport {
-        observer.search_started(&self.name());
+        let label = Strategy::Random { seed: self.seed }.label();
+        observer.search_started(&label);
         let mut ctx = SearchCtx::new(self.config.clone(), observer);
         let mut rng = match resume {
             None => SplitMix64::new(self.seed),
@@ -132,16 +70,17 @@ impl RandomSearch {
             }
             let due = ckpt.as_deref().is_some_and(|ck| ck.due(ctx.executions));
             if due || (ctx.stop && ckpt.is_some()) {
-                write_random_checkpoint(&mut ctx, &mut ckpt, &rng);
+                write_random_checkpoint(&mut ctx, &mut ckpt, &label, &rng);
             }
         }
-        ctx.into_report(self.name(), false, None, Vec::new(), false)
+        ctx.into_report(label, false, None, Vec::new(), false)
     }
 }
 
 fn write_random_checkpoint(
     ctx: &mut SearchCtx<'_>,
     ckpt: &mut Option<&mut Checkpointer>,
+    label: &str,
     rng: &SplitMix64,
 ) {
     let Some(ck) = ckpt.as_deref_mut() else {
@@ -150,7 +89,7 @@ fn write_random_checkpoint(
     let base = ctx.snapshot_base();
     let executions = base.executions;
     let snapshot = SearchSnapshot {
-        strategy: "random".to_string(),
+        strategy: label.to_string(),
         meta: ck.meta().to_vec(),
         config: ctx.config.clone(),
         base,
@@ -161,21 +100,6 @@ fn write_random_checkpoint(
     match ck.write(&snapshot) {
         Ok(()) => ctx.observer.checkpoint_written(executions),
         Err(e) => eprintln!("warning: checkpoint write failed: {e}"),
-    }
-}
-
-impl SearchStrategy for RandomSearch {
-    #[allow(deprecated)]
-    fn search_observed(
-        &self,
-        program: &dyn ControlledProgram,
-        observer: &mut dyn SearchObserver,
-    ) -> SearchReport {
-        self.drive(program, observer, None, None)
-    }
-
-    fn name(&self) -> String {
-        "random".to_string()
     }
 }
 

@@ -1,10 +1,8 @@
 //! The unified search session API.
 //!
-//! [`Search`] is the one public entry point for running any strategy:
-//! it replaces the per-strategy `run` / `run_observed` /
-//! `run_checkpointed` / `resume` quartet with a single builder that
-//! validates its configuration up front (returning a typed
-//! [`SearchError`] instead of panicking) and dispatches to the
+//! [`Search`] is the one public entry point for running any strategy: a
+//! single builder that validates its configuration up front (returning a
+//! typed [`SearchError`] instead of panicking) and dispatches to the
 //! sequential drivers at `jobs == 1` or the parallel drivers at
 //! `jobs > 1`.
 //!
@@ -18,8 +16,8 @@
 //!
 //! # Determinism contract
 //!
-//! * `jobs == 1` runs the unchanged sequential drivers: reports and
-//!   telemetry are byte-identical to the pre-builder API.
+//! * `jobs == 1` runs the sequential drivers: reports and telemetry are
+//!   a deterministic function of the program and the configuration.
 //! * Any `jobs >= 2` produces the *same* [`SearchReport`] as any other
 //!   `jobs >= 2` — worker count and timing only affect wall-clock.
 //!   Bugs are merged first-bug-wins by minimal preemption count, then
@@ -155,10 +153,8 @@ impl From<SnapshotError> for SearchError {
 /// A search session over one program: strategy, configuration, worker
 /// count, telemetry, checkpointing and resume, behind a single `run`.
 ///
-/// This builder is the only non-deprecated way to start a search. The
-/// per-strategy structs ([`IcbSearch`], [`DfsSearch`], …) remain as the
-/// strategies' *implementations*, but their `run*` entry points are
-/// deprecated shims over this API.
+/// This builder is the only way to start a search; the per-strategy
+/// drivers behind it are private.
 ///
 /// # Example
 ///
@@ -221,23 +217,11 @@ impl From<SnapshotError> for SearchError {
 /// # Ok::<(), icb_core::search::SearchError>(())
 /// ```
 ///
-/// # Migration from the deprecated per-strategy API
-///
-/// | Old call | Builder equivalent |
-/// |---|---|
-/// | `IcbSearch::new(cfg).run(&p)` | `Search::over(&p).config(cfg).run()?` |
-/// | `IcbSearch::new(cfg).run_observed(&p, &mut o)` | `Search::over(&p).config(cfg).observer(&mut o).run()?` |
-/// | `IcbSearch::new(cfg).run_checkpointed(&p, &mut o, &mut ck)` | `Search::over(&p).config(cfg).observer(&mut o).checkpoint(ck).run()?` |
-/// | `IcbSearch::resume(&p, snap, &mut o, ck)` | `Search::over(&p).resume_from(snap).observer(&mut o)[.checkpoint(ck)].run()?` |
-/// | `DfsSearch::new(cfg).run(&p)` | `Search::over(&p).strategy(Strategy::Dfs).config(cfg).run()?` |
-/// | `DfsSearch::with_depth_bound(cfg, n).run(&p)` | `.strategy(Strategy::DepthBounded(n))` |
-/// | `IterativeDeepeningSearch::new(cfg, s, d, m).run(&p)` | `.strategy(Strategy::IterativeDeepening { start: s, step: d, max: m })` |
-/// | `RandomSearch::new(cfg, seed).run(&p)` | `.strategy(Strategy::Random { seed })` |
-/// | `BestFirstSearch::new(cfg).run_observed(&p, &mut o)` | `.strategy(Strategy::BestFirst).observer(&mut o)` |
+/// # Resume
 ///
 /// Resume dispatches on the *snapshot's* strategy state, so one
-/// `resume_from` call replaces all four per-strategy `resume` methods;
-/// any `strategy(..)` set alongside `resume_from` is ignored.
+/// `resume_from` call resumes every strategy; any `strategy(..)` set
+/// alongside `resume_from` is ignored.
 pub struct Search<'a> {
     program: &'a (dyn ControlledProgram + Sync),
     strategy: Strategy,
@@ -334,9 +318,14 @@ impl<'a> Search<'a> {
     }
 
     /// Writes crash-resumable snapshots through `checkpointer`
-    /// periodically and at every abort. A parallel search quiesces its
-    /// workers first, so the snapshot is always the complete set of
-    /// unexplored work — resumable at *any* `jobs` count.
+    /// periodically and at every abort, and removes the file on clean
+    /// completion. A checkpointing search also polls
+    /// [`interrupt::interrupted`](crate::snapshot::interrupt::interrupted)
+    /// between executions and halts with
+    /// [`AbortReason::Interrupted`](crate::AbortReason) after writing a
+    /// final snapshot. A parallel search quiesces its workers first, so
+    /// the snapshot is always the complete set of unexplored work —
+    /// resumable at *any* `jobs` count.
     pub fn checkpoint(mut self, checkpointer: Checkpointer) -> Self {
         self.checkpoint = Some(checkpointer);
         self
@@ -345,6 +334,9 @@ impl<'a> Search<'a> {
     /// Resumes from a snapshot instead of starting fresh. The strategy
     /// and configuration stored in the snapshot take precedence over
     /// [`strategy`](Search::strategy) / [`config`](Search::config).
+    /// Snapshots are taken at execution boundaries and replay is
+    /// deterministic, so the resumed search ends in the report the
+    /// uninterrupted run would have produced.
     ///
     /// Sequential (`jobs == 1`) checkpoints of ICB and DFS resume at any
     /// `jobs` count, as do parallel checkpoints; a sequential *random*
@@ -529,7 +521,6 @@ impl<'a> Search<'a> {
             return Ok(report);
         }
 
-        #[allow(deprecated)]
         let report: Result<SearchReport, SearchError> =
             match strategy {
                 Strategy::Icb => Ok(if jobs == 1 {
@@ -552,11 +543,14 @@ impl<'a> Search<'a> {
                         _ => None,
                     };
                     Ok(if jobs == 1 {
-                        let search = match depth {
-                            Some(b) => DfsSearch::with_depth_bound(config, b),
-                            None => DfsSearch::new(config),
-                        };
-                        search.drive(program, observer, ckpt, Vec::new(), None, binding)
+                        DfsSearch::new(config, depth).drive(
+                            program,
+                            observer,
+                            ckpt,
+                            Vec::new(),
+                            None,
+                            binding,
+                        )
                     } else {
                         run_parallel_dfs(
                             program,
@@ -719,7 +713,6 @@ fn run_resumed(
             return Err(SearchError::Unsupported(cache_unsupported_msg(label, jobs)));
         }
     }
-    #[allow(deprecated)]
     match snapshot.state {
         StrategyState::Icb(state) => {
             if let Some((_, stack)) = &state.in_progress {
@@ -744,11 +737,14 @@ fn run_resumed(
             validate_branches(&state.stack)?;
             let stack: Vec<DfsBranch> = state.stack.into_iter().map(DfsBranch::from).collect();
             Ok(if jobs == 1 {
-                let search = match state.depth_bound {
-                    Some(b) => DfsSearch::with_depth_bound(config, b),
-                    None => DfsSearch::new(config),
-                };
-                search.drive(program, observer, ckpt, stack, Some(base), cache)
+                DfsSearch::new(config, state.depth_bound).drive(
+                    program,
+                    observer,
+                    ckpt,
+                    stack,
+                    Some(base),
+                    cache,
+                )
             } else {
                 // A sequential DFS checkpoint is one suspended subtree:
                 // seed the frontier with it and let the workers dissolve
@@ -896,33 +892,6 @@ mod tests {
             .run()
             .unwrap_err();
         assert!(matches!(err, SearchError::Unsupported(_)));
-    }
-
-    #[test]
-    #[allow(deprecated)]
-    fn builder_matches_sequential_icb() {
-        let p = toy();
-        let via_builder = Search::over(&p).run().unwrap();
-        let via_legacy = IcbSearch::new(SearchConfig::default()).run(&p);
-        assert_eq!(via_builder, via_legacy);
-    }
-
-    #[test]
-    #[allow(deprecated)]
-    fn builder_matches_sequential_dfs_and_random() {
-        let p = toy();
-        let dfs_b = Search::over(&p).strategy(Strategy::Dfs).run().unwrap();
-        let dfs_l = DfsSearch::new(SearchConfig::default()).run(&p);
-        assert_eq!(dfs_b, dfs_l);
-
-        let cfg = SearchConfig::with_max_executions(20);
-        let rnd_b = Search::over(&p)
-            .strategy(Strategy::Random { seed: 9 })
-            .config(cfg.clone())
-            .run()
-            .unwrap();
-        let rnd_l = RandomSearch::new(cfg, 9).run(&p);
-        assert_eq!(rnd_b, rnd_l);
     }
 
     #[test]

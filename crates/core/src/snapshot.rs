@@ -54,13 +54,6 @@ pub enum SnapshotError {
     ChecksumMismatch,
     /// The payload decodes to structurally invalid data.
     Corrupt(String),
-    /// The snapshot belongs to a different strategy than the caller.
-    WrongStrategy {
-        /// The strategy the caller tried to resume.
-        expected: String,
-        /// The strategy recorded in the snapshot.
-        found: String,
-    },
 }
 
 impl fmt::Display for SnapshotError {
@@ -81,12 +74,6 @@ impl fmt::Display for SnapshotError {
             }
             SnapshotError::Corrupt(what) => {
                 write!(f, "checkpoint file is corrupted ({what})")
-            }
-            SnapshotError::WrongStrategy { expected, found } => {
-                write!(
-                    f,
-                    "checkpoint was written by strategy '{found}', not '{expected}'"
-                )
             }
         }
     }
@@ -839,8 +826,9 @@ impl Reader<'_> {
 
 /// Writes periodic checkpoints of a search to one path.
 ///
-/// A checkpointer is handed to `run_checkpointed` / `resume` on the
-/// strategies; they consult [`due`](Checkpointer::due) at execution
+/// A checkpointer is handed to a search through
+/// [`Search::checkpoint`](crate::search::Search::checkpoint); the
+/// drivers consult [`due`](Checkpointer::due) at execution
 /// boundaries and [`write`](Checkpointer::write) atomically. On clean
 /// completion the strategy calls [`finish`](Checkpointer::finish) to
 /// remove the file — a completed search has nothing to resume.
@@ -856,9 +844,7 @@ impl Checkpointer {
     /// Creates a checkpointer writing to `path` every `every` executions.
     ///
     /// The raw interval is kept so [`Search`](crate::search::Search) can
-    /// reject `every == 0` at build time with a typed error; the
-    /// deprecated per-strategy entry points clamp it to 1 at use, as
-    /// previous releases did.
+    /// reject `every == 0` at build time with a typed error.
     pub fn new(path: impl Into<PathBuf>, every: usize) -> Self {
         Checkpointer {
             path: path.into(),
@@ -927,11 +913,11 @@ impl Checkpointer {
 /// searches.
 ///
 /// The handler only sets an atomic flag; checkpointing strategies poll
-/// [`interrupted`] at execution boundaries, write a final snapshot and
-/// halt with [`AbortReason::Interrupted`](crate::AbortReason). The
-/// workspace links no signal-handling crate, so the handler is installed
-/// through the C `signal` function that libc already provides to every
-/// Rust binary.
+/// [`interrupted`](interrupt::interrupted) at execution boundaries,
+/// write a final snapshot and halt with
+/// [`AbortReason::Interrupted`](crate::AbortReason). The workspace links
+/// no signal-handling crate, so the handler is installed through the C
+/// `signal` function that libc already provides to every Rust binary.
 pub mod interrupt {
     use std::sync::atomic::{AtomicBool, Ordering};
 
@@ -1166,12 +1152,6 @@ mod tests {
             .to_string()
             .contains("corrupted"));
         assert!(SnapshotError::Truncated.to_string().contains("truncated"));
-        let e = SnapshotError::WrongStrategy {
-            expected: "icb".into(),
-            found: "dfs".into(),
-        };
-        assert!(e.to_string().contains("dfs"));
-        assert!(e.to_string().contains("icb"));
     }
 
     #[test]

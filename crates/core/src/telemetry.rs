@@ -197,7 +197,7 @@ impl std::fmt::Display for Phase {
 ///
 /// Reported through [`SearchObserver::search_aborted`] so a consumer can
 /// distinguish a timed-out search from an exhausted one — the
-/// [`SearchReport`](crate::search::SearchReport) of a timed-out search
+/// [`SearchReport`] of a timed-out search
 /// additionally has `truncated` set, because its coverage numbers are
 /// lower bounds only.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]

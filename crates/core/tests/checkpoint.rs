@@ -11,12 +11,12 @@
 
 use std::path::{Path, PathBuf};
 
-use icb_core::search::{IcbSearch, Search, SearchConfig, SearchReport, Strategy};
-use icb_core::snapshot::{Checkpointer, SearchSnapshot, SnapshotError, StrategyState};
+use icb_core::search::{Search, SearchConfig, SearchReport, Strategy};
+use icb_core::snapshot::{Checkpointer, SearchSnapshot, StrategyState};
 use icb_core::telemetry::SearchObserver;
 use icb_core::{
-    ControlledProgram, ExecutionOutcome, ExecutionResult, NoopObserver, SchedulePoint, Scheduler,
-    StateSink, Tid, Trace, TraceEntry,
+    ControlledProgram, ExecutionOutcome, ExecutionResult, SchedulePoint, Scheduler, StateSink, Tid,
+    Trace, TraceEntry,
 };
 
 /// `n` threads × `k` increments of a shared counter; an optional bug
@@ -314,41 +314,6 @@ fn random_resume_continues_the_exact_stream() {
     assert_eq!(resumed.executions, reference.executions);
     assert_eq!(resumed.distinct_states, reference.distinct_states);
     assert_eq!(resumed.coverage_curve, reference.coverage_curve);
-}
-
-#[test]
-fn resume_rejects_a_snapshot_from_another_strategy() {
-    // The builder derives the strategy from the snapshot itself, so this
-    // mismatch can only arise on the legacy per-strategy resume surface.
-    let program = Counters {
-        n: 2,
-        k: 2,
-        bug: None,
-    };
-    let dir = TempDir::new("wrong-strategy");
-    let live = dir.path("live.ck");
-    let frozen = dir.path("frozen.ck");
-    freeze_mid_search(&live, &frozen, 2, 1, |copier, ck| {
-        Search::over(&program)
-            .strategy(Strategy::Random { seed: 3 })
-            .config(SearchConfig::with_max_executions(10))
-            .observer(copier)
-            .checkpoint(ck)
-            .run()
-            .unwrap()
-    });
-    let snapshot = SearchSnapshot::read_from(&frozen).unwrap();
-    #[allow(deprecated)] // shim regression: the legacy resume still validates
-    let err = IcbSearch::resume(&program, snapshot, &mut NoopObserver, None).unwrap_err();
-    assert!(
-        matches!(err, SnapshotError::WrongStrategy { .. }),
-        "got {err:?}"
-    );
-    let rendered = err.to_string();
-    assert!(
-        rendered.contains("random") && rendered.contains("icb"),
-        "{rendered}"
-    );
 }
 
 #[test]

@@ -27,7 +27,7 @@ use crate::engine::with_current;
 /// # Examples
 ///
 /// ```
-/// use icb_core::search::{IcbSearch, SearchConfig};
+/// use icb_core::search::Search;
 /// use icb_runtime::{RuntimeProgram, DataVar, sync::Mutex, thread};
 /// use std::sync::Arc;
 ///
@@ -48,7 +48,7 @@ use crate::engine::with_current;
 ///     }
 ///     t.join();
 /// });
-/// let report = IcbSearch::new(SearchConfig::default()).run(&program);
+/// let report = Search::over(&program).run().unwrap();
 /// assert!(report.bugs.is_empty());
 /// ```
 #[derive(Debug)]

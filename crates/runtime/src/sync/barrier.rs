@@ -16,7 +16,7 @@ use crate::op::PendingOp;
 /// # Examples
 ///
 /// ```
-/// use icb_core::search::{IcbSearch, SearchConfig};
+/// use icb_core::search::Search;
 /// use icb_runtime::{RuntimeProgram, sync::{AtomicUsize, Barrier}, thread};
 /// use std::sync::Arc;
 ///
@@ -34,7 +34,7 @@ use crate::op::PendingOp;
 ///     }).collect();
 ///     for t in ts { t.join(); }
 /// });
-/// let report = IcbSearch::new(SearchConfig::default()).run(&program);
+/// let report = Search::over(&program).run().unwrap();
 /// assert!(report.completed && report.bugs.is_empty());
 /// ```
 pub struct Barrier {

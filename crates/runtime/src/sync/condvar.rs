@@ -17,7 +17,7 @@ use crate::sync::{Mutex, MutexGuard};
 /// # Examples
 ///
 /// ```
-/// use icb_core::search::{IcbSearch, SearchConfig};
+/// use icb_core::search::Search;
 /// use icb_runtime::{RuntimeProgram, sync::{Mutex, Condvar}, thread};
 /// use std::sync::Arc;
 ///
@@ -40,7 +40,7 @@ use crate::sync::{Mutex, MutexGuard};
 ///     drop(ready);
 ///     t.join();
 /// });
-/// let report = IcbSearch::new(SearchConfig::default()).run(&program);
+/// let report = Search::over(&program).run().unwrap();
 /// assert!(report.completed && report.bugs.is_empty());
 /// ```
 pub struct Condvar {

@@ -15,7 +15,7 @@ use crate::op::PendingOp;
 /// # Examples
 ///
 /// ```
-/// use icb_core::search::{IcbSearch, SearchConfig};
+/// use icb_core::search::Search;
 /// use icb_runtime::{RuntimeProgram, sync::Event, thread};
 /// use std::sync::Arc;
 ///
@@ -28,7 +28,7 @@ use crate::op::PendingOp;
 ///     done.wait();
 ///     t.join();
 /// });
-/// let report = IcbSearch::new(SearchConfig::default()).run(&program);
+/// let report = Search::over(&program).run().unwrap();
 /// assert!(report.completed && report.bugs.is_empty());
 /// ```
 pub struct Event {

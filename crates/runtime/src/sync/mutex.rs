@@ -15,7 +15,7 @@ use crate::op::PendingOp;
 /// # Examples
 ///
 /// ```
-/// use icb_core::search::{IcbSearch, SearchConfig};
+/// use icb_core::search::Search;
 /// use icb_runtime::{RuntimeProgram, sync::Mutex, thread};
 /// use std::sync::Arc;
 ///
@@ -29,7 +29,7 @@ use crate::op::PendingOp;
 ///     t.join();
 ///     assert_eq!(*total.lock(), 2);
 /// });
-/// let report = IcbSearch::new(SearchConfig::default()).run(&program);
+/// let report = Search::over(&program).run().unwrap();
 /// assert!(report.completed && report.bugs.is_empty());
 /// ```
 pub struct Mutex<T> {

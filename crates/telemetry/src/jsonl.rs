@@ -20,8 +20,9 @@ use icb_core::{
 ///
 /// Profiler events (choice points, preemptions taken, phase times) are
 /// off by default — they multiply the line count by the execution
-/// length. Enable them with [`with_profile_events`]
-/// (JsonlSink::with_profile_events); `explore report` then reconstructs
+/// length. Enable them with
+/// [`with_profile_events`](JsonlSink::with_profile_events); `explore
+/// report` then reconstructs
 /// site attribution from the stream.
 ///
 /// Write errors are recorded in [`failed`](JsonlSink::failed) and

@@ -3,11 +3,6 @@
 //! `icb-core` defines the observer *interface* (`icb_core::telemetry`);
 //! this crate ships the sinks that make it useful:
 //!
-//! * [`MetricsRecorder`] — in-memory counters and histograms: executions
-//!   per second, steps-per-execution distribution, preemption
-//!   distribution, work-queue high-water mark, per-bound wall time and
-//!   the coverage curve. The benchmark harness sources its figures from
-//!   here instead of re-tallying reports.
 //! * [`JsonlSink`] — streams every event as one JSON object per line to
 //!   any `io::Write`, for offline analysis of long searches.
 //! * [`ProgressReporter`] — rate-limited live status line (current
@@ -39,7 +34,6 @@ mod event_log;
 pub mod export;
 mod http;
 mod jsonl;
-mod metrics;
 mod multi;
 mod profiler;
 mod progress;
@@ -50,7 +44,6 @@ pub use event_log::{Event, EventLog};
 pub use export::render_prometheus;
 pub use http::{parse_exposition, scrape, series_value, MetricsServer};
 pub use jsonl::JsonlSink;
-pub use metrics::{Histogram, MetricsRecorder};
 pub use multi::MultiObserver;
 pub use profiler::ExplorationProfiler;
 pub use progress::ProgressReporter;

@@ -119,9 +119,9 @@ pub mod writing_models {}
 ///   carries the failing `schedule`: feed it to
 ///   [`ReplayScheduler`](crate::core::ReplayScheduler) to reproduce the
 ///   failure deterministically, as many times as you like, under a
-///   debugger if needed. For `IcbSearch` the *first* bug's
-///   `preemptions` is minimal over all failing executions — the paper's
-///   "simplest explanation" property. Render the replayed trace with
+///   debugger if needed. For [`Strategy::Icb`](crate::Strategy::Icb)
+///   the *first* bug's `preemptions` is minimal over all failing
+///   executions — the paper's "simplest explanation" property. Render the replayed trace with
 ///   [`render::lanes`](crate::core::render::lanes).
 /// * **`completed` / `completed_bound`** — the coverage certificate.
 ///   `completed_bound == Some(c)` with no bugs means *no assertion

@@ -52,8 +52,7 @@
 //!
 //! Every exploration — ICB, DFS, random walk, parallel (`.jobs(n)`),
 //! checkpointed, resumed — goes through the same [`Search`] builder;
-//! see [`core::search::Search`] for the full surface and the migration
-//! table from the pre-builder entry points.
+//! see [`core::search::Search`] for the full surface.
 
 pub mod guide;
 

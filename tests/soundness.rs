@@ -34,8 +34,8 @@ fn lost_update(config: RuntimeConfig) -> RuntimeProgram {
     })
 }
 
-/// Minimal-preemption bug hunt via the builder (the old
-/// `IcbSearch::find_minimal_bug` convenience).
+/// Minimal-preemption bug hunt: a stop-on-first-bug ICB search, whose
+/// first bug has the fewest preemptions of any failing execution.
 fn minimal_bug(program: &(dyn ControlledProgram + Sync), budget: usize) -> Option<BugReport> {
     Search::over(program)
         .config(SearchConfig {
