@@ -7,7 +7,9 @@
 //! Rates are the report's executions over the wall time of
 //! `Search::run`, timed the same way as the figure binaries. The sanity
 //! checks assert the determinism contract (identical order-independent
-//! reports) before any rate is reported.
+//! reports) before any rate is reported. The entry is stamped with the
+//! machine it was measured on: `nproc`, the CPU model from
+//! `/proc/cpuinfo` and the kernel from `/proc/version`.
 //!
 //! ```sh
 //! cargo run --release -p icb-bench --bin parallel_bench
@@ -41,7 +43,25 @@ fn measure(jobs: usize) -> (SearchReport, f64, f64) {
     (report, secs, rate)
 }
 
+/// The first `model name` in `/proc/cpuinfo` and the text of
+/// `/proc/version`, or `unknown` where they cannot be read.
+fn cpu_and_kernel() -> (String, String) {
+    let cpu = std::fs::read_to_string("/proc/cpuinfo")
+        .ok()
+        .and_then(|info| {
+            info.lines()
+                .find_map(|l| l.strip_prefix("model name"))
+                .and_then(|l| l.split_once(':'))
+                .map(|(_, v)| v.trim().to_string())
+        })
+        .unwrap_or_else(|| "unknown".to_string());
+    let kernel = std::fs::read_to_string("/proc/version")
+        .map_or_else(|_| "unknown".to_string(), |v| v.trim().to_string());
+    (cpu, kernel)
+}
+
 fn main() {
+    let (cpu, kernel) = cpu_and_kernel();
     let nproc = std::thread::available_parallelism()
         .map(std::num::NonZeroUsize::get)
         .unwrap_or(1);
@@ -77,22 +97,20 @@ fn main() {
             "  \"executions\": {execs},\n",
             "  \"distinct_states\": {states},\n",
             "  \"nproc\": {nproc},\n",
+            "  \"cpu\": {cpu:?},\n",
+            "  \"kernel\": {kernel:?},\n",
             "  \"jobs_1\": {{ \"exec_per_sec\": {seq_rate:.1}, \"seconds\": {seq_secs:.3} }},\n",
             "  \"jobs_{par_jobs}\": {{ \"exec_per_sec\": {par_rate:.1}, \"seconds\": {par_secs:.3} }},\n",
             "  \"speedup\": {speedup:.3},\n",
-            "  \"reports_match\": true,\n",
-            "  \"instrumentation_note\": \"driver choke points now feed the live \
-             metrics registry (steal donations, pump recv-timeout stalls, frontier \
-             lock ops and pop waits, per-worker busy/idle clocks) via relaxed \
-             atomics; pre-instrumentation baseline on this machine was jobs_1 \
-             3330.0 exec/s / jobs_2 3528.2 exec/s (speedup 1.060), so any drift \
-             beyond noise here is an instrumentation regression\"\n",
+            "  \"reports_match\": true\n",
             "}}\n"
         ),
         bound = BOUND,
         execs = seq_report.executions,
         states = seq_report.distinct_states,
         nproc = nproc,
+        cpu = cpu,
+        kernel = kernel,
         seq_rate = seq_rate,
         seq_secs = seq_secs,
         par_jobs = nproc.max(2),

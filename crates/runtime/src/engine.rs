@@ -10,13 +10,35 @@
 //! runs user code up to its next synchronization operation, and returns
 //! the baton.
 //!
-//! Aborts (assertion failure, data race, deadlock, step limit) unwind all
-//! parked tasks cooperatively via a private panic payload, so worker
-//! threads are always reclaimed.
+//! # The baton
+//!
+//! Whose turn it is lives in the execution's mutex. A handoff changes it
+//! under the lock and unparks exactly the thread whose turn it now is:
+//! each task registers its worker's [`Thread`] handle before its first
+//! wait, and the controller registers its own when the execution starts.
+//! A waiter re-checks its condition under the lock after every wakeup,
+//! so stale unpark tokens left on pooled worker threads are harmless.
+//!
+//! Before parking, a waiter may spin for a bounded number of
+//! [`spin_loop`](std::hint::spin_loop) hints on lock-free mirrors of the
+//! turn and abort flags, which saves the park/unpark round trip when the
+//! other side answers within microseconds. A task spins only while the
+//! controller holds the baton; once the baton goes to another task it
+//! parks at once. The controller spins while a task runs. A spinning
+//! pair keeps two cores busy, so waiters spin only while the process has
+//! two cores for each running execution; with fewer, a spinner would
+//! steal the core the baton holder needs, and every waiter parks at once.
+//!
+//! Aborts (assertion failure, data race, deadlock, step limit, watchdog,
+//! scheduler failure) wake every registered thread and unwind all parked
+//! tasks cooperatively via a private panic payload, so worker threads are
+//! always reclaimed.
 
 use std::cell::RefCell;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
-use std::sync::{Arc, Condvar as StdCondvar, Mutex as StdMutex, MutexGuard as StdMutexGuard};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::{Arc, Mutex as StdMutex, MutexGuard as StdMutexGuard, OnceLock};
+use std::thread::Thread;
 use std::time::{Duration, Instant};
 
 use icb_core::{
@@ -34,6 +56,87 @@ use crate::pool;
 enum Turn {
     Controller,
     Task(usize),
+}
+
+/// [`Turn::Controller`] in [`Execution::turn_hint`]; a task's turn is its
+/// index.
+const CONTROLLER_TURN: usize = usize::MAX;
+
+impl Turn {
+    fn encode(self) -> usize {
+        match self {
+            Turn::Controller => CONTROLLER_TURN,
+            Turn::Task(i) => i,
+        }
+    }
+}
+
+/// How many `spin_loop` hints a waiter spends watching the baton before
+/// it parks.
+const SPIN_LIMIT: u32 = 1024;
+
+/// Runtime executions in progress in this process, on any thread.
+/// Relaxed: the count only gates spinning and publishes no data.
+static RUNNING: AtomicUsize = AtomicUsize::new(0);
+
+/// Counts one execution in [`RUNNING`] for the guard's lifetime.
+struct RunningGuard;
+
+impl RunningGuard {
+    fn enter() -> Self {
+        RUNNING.fetch_add(1, Ordering::Relaxed);
+        RunningGuard
+    }
+}
+
+impl Drop for RunningGuard {
+    fn drop(&mut self) {
+        RUNNING.fetch_sub(1, Ordering::Relaxed);
+    }
+}
+
+/// Whether waiters may spin: only while every running execution can
+/// keep its controller and its running task on cores of their own.
+fn spin_allowed() -> bool {
+    static CORES: OnceLock<usize> = OnceLock::new();
+    let cores = *CORES.get_or_init(|| std::thread::available_parallelism().map_or(1, |n| n.get()));
+    2 * RUNNING.load(Ordering::Relaxed) <= cores
+}
+
+/// What a thread blocks for in [`Execution::wait_for`].
+#[derive(Clone, Copy, Debug)]
+enum Await {
+    /// A task waits for its turn, or for an abort.
+    Task(usize),
+    /// The controller waits for the baton to come back.
+    Baton,
+    /// The controller waits for every task to finish unwinding.
+    Drain,
+}
+
+impl Await {
+    /// The wait's condition, read under the lock.
+    fn met(self, inner: &ExecInner) -> bool {
+        match self {
+            Await::Task(i) => inner.abort || inner.turn == Turn::Task(i),
+            Await::Baton => inner.turn == Turn::Controller,
+            Await::Drain => inner.alive == 0,
+        }
+    }
+
+    /// Reads the lock-free mirrors while spinning: `Some(true)` when the
+    /// wait looks over, `Some(false)` when the waiter should park now,
+    /// `None` to keep spinning.
+    fn hint(self, turn: usize, abort: bool) -> Option<bool> {
+        match self {
+            Await::Task(i) if turn == i || abort => Some(true),
+            // The baton went to another task, which may run for long.
+            Await::Task(_) if turn != CONTROLLER_TURN => Some(false),
+            Await::Task(_) => None,
+            Await::Baton => (turn == CONTROLLER_TURN).then_some(true),
+            Await::Drain => Some(false),
+        }
+    }
 }
 
 /// Private panic payload used to unwind tasks on abort.
@@ -79,12 +182,17 @@ struct TaskEntry {
     /// (set by the controller alongside the baton hand-over, consumed by
     /// [`apply_effect`]).
     fault: bool,
+    /// The worker thread running the task, registered before its first
+    /// wait; `None` until then.
+    thread: Option<Thread>,
 }
 
 #[derive(Debug)]
 pub(crate) struct ExecInner {
     turn: Turn,
     abort: bool,
+    /// The controller's thread, registered when the execution starts.
+    controller: Option<Thread>,
     outcome: Option<ExecutionOutcome>,
     tasks: Vec<TaskEntry>,
     alive: usize,
@@ -124,7 +232,13 @@ impl ExecInner {
 #[derive(Debug)]
 pub(crate) struct Execution {
     inner: StdMutex<ExecInner>,
-    cv: StdCondvar,
+    /// `inner.turn` encoded by [`Turn::encode`], for spinning without
+    /// the lock. Written (Release) under the lock whenever the turn
+    /// changes and read (Acquire) by spinners; it publishes nothing else,
+    /// since a waiter re-checks `inner` under the lock before acting.
+    turn_hint: AtomicUsize,
+    /// `inner.abort`, mirrored like `turn_hint`.
+    abort_hint: AtomicBool,
     pub(crate) config: RuntimeConfig,
 }
 
@@ -181,6 +295,7 @@ impl Execution {
             inner: StdMutex::new(ExecInner {
                 turn: Turn::Controller,
                 abort: false,
+                controller: None,
                 outcome: None,
                 tasks: Vec::new(),
                 alive: 0,
@@ -195,7 +310,8 @@ impl Execution {
                 time_phases: false,
                 detector_time: Duration::ZERO,
             }),
-            cv: StdCondvar::new(),
+            turn_hint: AtomicUsize::new(CONTROLLER_TURN),
+            abort_hint: AtomicBool::new(false),
             config,
         }
     }
@@ -204,8 +320,83 @@ impl Execution {
         self.inner.lock().unwrap_or_else(|e| e.into_inner())
     }
 
-    fn wait<'a>(&self, guard: StdMutexGuard<'a, ExecInner>) -> StdMutexGuard<'a, ExecInner> {
-        self.cv.wait(guard).unwrap_or_else(|e| e.into_inner())
+    fn set_turn(&self, inner: &mut ExecInner, turn: Turn) {
+        inner.turn = turn;
+        self.turn_hint.store(turn.encode(), Ordering::Release);
+    }
+
+    /// Hands the baton to `turn` and wakes the one thread that holds it
+    /// now. A task that has not registered yet finds its turn when it
+    /// first checks.
+    fn pass_baton(&self, inner: &mut ExecInner, turn: Turn) {
+        self.set_turn(inner, turn);
+        let thread = match turn {
+            Turn::Controller => inner.controller.as_ref(),
+            Turn::Task(i) => inner.tasks[i].thread.as_ref(),
+        };
+        if let Some(thread) = thread {
+            thread.unpark();
+        }
+    }
+
+    /// Marks the execution aborted and wakes every registered thread, so
+    /// parked tasks unwind and the controller re-checks.
+    fn raise_abort(&self, inner: &mut ExecInner) {
+        inner.abort = true;
+        self.abort_hint.store(true, Ordering::Release);
+        let tasks = inner.tasks.iter().filter(|t| !t.finished);
+        for thread in tasks
+            .filter_map(|t| t.thread.as_ref())
+            .chain(inner.controller.as_ref())
+        {
+            thread.unpark();
+        }
+    }
+
+    /// Blocks until `what` holds: spins on the mirrors while
+    /// [`spin_allowed`] and [`Await::hint`] say so, then parks, and
+    /// re-checks under the lock after every wakeup. Returns `false` only
+    /// when `deadline` passes first.
+    fn wait_for<'a>(
+        &'a self,
+        mut inner: StdMutexGuard<'a, ExecInner>,
+        what: Await,
+        deadline: Option<Instant>,
+    ) -> (StdMutexGuard<'a, ExecInner>, bool) {
+        loop {
+            if what.met(&inner) {
+                return (inner, true);
+            }
+            let timeout = deadline.map(|dl| dl.saturating_duration_since(Instant::now()));
+            if timeout == Some(Duration::ZERO) {
+                return (inner, false);
+            }
+            drop(inner);
+            if !self.spin(what) {
+                match timeout {
+                    Some(left) => std::thread::park_timeout(left),
+                    None => std::thread::park(),
+                }
+            }
+            inner = self.lock();
+        }
+    }
+
+    /// Spins up to [`SPIN_LIMIT`] hints; returns whether the mirrors say
+    /// the wait is over.
+    fn spin(&self, what: Await) -> bool {
+        if !spin_allowed() {
+            return false;
+        }
+        for _ in 0..SPIN_LIMIT {
+            let turn = self.turn_hint.load(Ordering::Acquire);
+            let abort = self.abort_hint.load(Ordering::Acquire);
+            if let Some(over) = what.hint(turn, abort) {
+                return over;
+            }
+            std::hint::spin_loop();
+        }
+        false
     }
 
     /// Launches the root task and runs the controller loop to completion.
@@ -217,12 +408,15 @@ impl Execution {
         observer: &mut dyn SearchObserver,
     ) -> ExecutionResult {
         install_panic_hook();
+        let _running = RunningGuard::enter();
         {
             let mut inner = self.lock();
+            inner.controller = Some(std::thread::current());
             inner.tasks.push(TaskEntry {
                 finished: false,
                 pending: Some(PendingOp::Start),
                 fault: false,
+                thread: None,
             });
             inner.alive = 1;
             inner.time_phases = observer.wants_phase_timing();
@@ -251,26 +445,12 @@ impl Execution {
         let mut selection_time = Duration::ZERO;
         loop {
             let t0 = time_phases.then(Instant::now);
-            while inner.turn != Turn::Controller {
-                match deadline {
-                    None => inner = self.wait(inner),
-                    Some(dl) => {
-                        let now = Instant::now();
-                        if now >= dl {
-                            break;
-                        }
-                        inner = self
-                            .cv
-                            .wait_timeout(inner, dl - now)
-                            .unwrap_or_else(|e| e.into_inner())
-                            .0;
-                    }
-                }
-            }
+            let (guard, baton_back) = self.wait_for(inner, Await::Baton, deadline);
+            inner = guard;
             if let Some(t0) = t0 {
                 replay_time += t0.elapsed();
             }
-            if inner.turn != Turn::Controller {
+            if !baton_back {
                 // Watchdog expiry: the baton holder is stuck *between*
                 // scheduling points (uninstrumented loop, blocking call),
                 // where max_steps cannot see it. Abandon the task — mark
@@ -286,9 +466,8 @@ impl Execution {
                 inner
                     .outcome
                     .get_or_insert(ExecutionOutcome::WatchdogTimeout);
-                inner.abort = true;
-                inner.turn = Turn::Controller;
-                self.cv.notify_all();
+                self.raise_abort(&mut inner);
+                self.set_turn(&mut inner, Turn::Controller);
             }
             if let Some(fp) = inner.pending_fp.take() {
                 sink.visit(fp);
@@ -298,9 +477,7 @@ impl Execution {
             }
             if inner.abort {
                 let t0 = time_phases.then(Instant::now);
-                while inner.alive > 0 {
-                    inner = self.wait(inner);
-                }
+                inner = self.wait_for(inner, Await::Drain, None).0;
                 if let Some(t0) = t0 {
                     replay_time += t0.elapsed();
                 }
@@ -313,8 +490,7 @@ impl Execution {
                 inner
                     .outcome
                     .get_or_insert(ExecutionOutcome::StepLimitExceeded);
-                inner.abort = true;
-                self.cv.notify_all();
+                self.raise_abort(&mut inner);
                 continue;
             }
 
@@ -342,8 +518,7 @@ impl Execution {
                 inner
                     .outcome
                     .get_or_insert(ExecutionOutcome::Deadlock { blocked });
-                inner.abort = true;
-                self.cv.notify_all();
+                self.raise_abort(&mut inner);
                 continue;
             }
 
@@ -368,11 +543,8 @@ impl Execution {
                 Err(payload) => {
                     // Scheduler failure: drain the tasks so workers are
                     // reclaimed.
-                    inner.abort = true;
-                    self.cv.notify_all();
-                    while inner.alive > 0 {
-                        inner = self.wait(inner);
-                    }
+                    self.raise_abort(&mut inner);
+                    inner = self.wait_for(inner, Await::Drain, None).0;
                     match payload.downcast::<DivergencePayload>() {
                         Ok(divergence) => {
                             // Replay divergence is recoverable: surface it
@@ -422,8 +594,7 @@ impl Execution {
             );
             inner.steps += 1;
             inner.current = Some(chosen);
-            inner.turn = Turn::Task(chosen.index());
-            self.cv.notify_all();
+            self.pass_baton(&mut inner, Turn::Task(chosen.index()));
         }
         if let Some(fp) = inner.pending_fp.take() {
             sink.visit(fp);
@@ -466,17 +637,11 @@ impl Execution {
         );
         let is_exit = matches!(op, PendingOp::Exit);
         inner.tasks[tid.index()].pending = Some(op);
-        inner.turn = Turn::Controller;
-        self.cv.notify_all();
-        loop {
-            if inner.abort {
-                drop(inner);
-                panic_abort();
-            }
-            if inner.turn == Turn::Task(tid.index()) {
-                break;
-            }
-            inner = self.wait(inner);
+        self.pass_baton(&mut inner, Turn::Controller);
+        let mut inner = self.wait_for(inner, Await::Task(tid.index()), None).0;
+        if inner.abort {
+            drop(inner);
+            panic_abort();
         }
         let op = inner.tasks[tid.index()]
             .pending
@@ -485,8 +650,7 @@ impl Execution {
         let fault = std::mem::take(&mut inner.tasks[tid.index()].fault);
         let out = apply_effect(&mut inner, tid, &op, fault);
         if is_exit {
-            inner.turn = Turn::Controller;
-            self.cv.notify_all();
+            self.pass_baton(&mut inner, Turn::Controller);
         }
         out
     }
@@ -495,15 +659,11 @@ impl Execution {
     /// scheduled. The parent already installed the pending op.
     fn park_initial(&self, tid: Tid) {
         let mut inner = self.lock();
-        loop {
-            if inner.abort {
-                drop(inner);
-                panic_abort();
-            }
-            if inner.turn == Turn::Task(tid.index()) {
-                break;
-            }
-            inner = self.wait(inner);
+        inner.tasks[tid.index()].thread = Some(std::thread::current());
+        let mut inner = self.wait_for(inner, Await::Task(tid.index()), None).0;
+        if inner.abort {
+            drop(inner);
+            panic_abort();
         }
         let op = inner.tasks[tid.index()]
             .pending
@@ -527,10 +687,9 @@ impl Execution {
                     message: payload_message(&*payload),
                 });
             }
-            inner.abort = true;
+            self.raise_abort(&mut inner);
         }
-        inner.turn = Turn::Controller;
-        self.cv.notify_all();
+        self.pass_baton(&mut inner, Turn::Controller);
     }
 
     /// Registers a mutex, returning `(lock id, detector sync id)`.
@@ -611,8 +770,7 @@ impl Execution {
                 inner
                     .outcome
                     .get_or_insert(ExecutionOutcome::DataRace { description });
-                inner.abort = true;
-                self.cv.notify_all();
+                self.raise_abort(&mut inner);
                 drop(inner);
                 panic_abort();
             }
@@ -784,6 +942,7 @@ fn apply_effect(inner: &mut ExecInner, tid: Tid, op: &PendingOp, fault: bool) ->
                 finished: false,
                 pending: Some(PendingOp::Start),
                 fault: false,
+                thread: None,
             });
             inner.alive += 1;
             inner.with_detector(|d| d.fork(tid, child));
