@@ -19,15 +19,20 @@
 //! A waiter re-checks its condition under the lock after every wakeup,
 //! so stale unpark tokens left on pooled worker threads are harmless.
 //!
-//! Before parking, a waiter may spin for a bounded number of
-//! [`spin_loop`](std::hint::spin_loop) hints on lock-free mirrors of the
-//! turn and abort flags, which saves the park/unpark round trip when the
-//! other side answers within microseconds. A task spins only while the
-//! controller holds the baton; once the baton goes to another task it
-//! parks at once. The controller spins while a task runs. A spinning
-//! pair keeps two cores busy, so waiters spin only while the process has
-//! two cores for each running execution; with fewer, a spinner would
-//! steal the core the baton holder needs, and every waiter parks at once.
+//! A waiter does not park at once. It waits in the tiers of
+//! [`wait`](crate::wait), watching lock-free mirrors of the turn and
+//! abort flags: it spins on [`spin_loop`](std::hint::spin_loop) hints
+//! while the process has two cores for each running execution, and
+//! otherwise yields its core up to
+//! [`YIELD_LIMIT`](crate::wait::YIELD_LIMIT) times; then it parks.
+//! Spinning saves the park/unpark round trip when the other side answers
+//! within microseconds on a core of its own; yielding saves it when the
+//! other side needs this very core, as when more executions run than
+//! there are core pairs. A task waits in the tiers only while the
+//! controller holds the baton; once the baton goes to another task,
+//! which may run for long, it parks at once. The controller waits in the
+//! tiers while a task runs, and parks at once while it drains unwinding
+//! tasks after an abort.
 //!
 //! Aborts (assertion failure, data race, deadlock, step limit, watchdog,
 //! scheduler failure) wake every registered thread and unwind all parked
@@ -37,7 +42,7 @@
 use std::cell::RefCell;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex as StdMutex, MutexGuard as StdMutexGuard, OnceLock};
+use std::sync::{Arc, Mutex as StdMutex, MutexGuard as StdMutexGuard};
 use std::thread::Thread;
 use std::time::{Duration, Instant};
 
@@ -49,7 +54,7 @@ use icb_race::{AccessKind, HbFingerprint, RaceDetector};
 
 use crate::config::RuntimeConfig;
 use crate::op::{CondWaiter, PendingOp, Resources, FAULT_OP_SALT};
-use crate::pool;
+use crate::{pool, wait};
 
 /// Whose turn it is to run.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -69,38 +74,6 @@ impl Turn {
             Turn::Task(i) => i,
         }
     }
-}
-
-/// How many `spin_loop` hints a waiter spends watching the baton before
-/// it parks.
-const SPIN_LIMIT: u32 = 1024;
-
-/// Runtime executions in progress in this process, on any thread.
-/// Relaxed: the count only gates spinning and publishes no data.
-static RUNNING: AtomicUsize = AtomicUsize::new(0);
-
-/// Counts one execution in [`RUNNING`] for the guard's lifetime.
-struct RunningGuard;
-
-impl RunningGuard {
-    fn enter() -> Self {
-        RUNNING.fetch_add(1, Ordering::Relaxed);
-        RunningGuard
-    }
-}
-
-impl Drop for RunningGuard {
-    fn drop(&mut self) {
-        RUNNING.fetch_sub(1, Ordering::Relaxed);
-    }
-}
-
-/// Whether waiters may spin: only while every running execution can
-/// keep its controller and its running task on cores of their own.
-fn spin_allowed() -> bool {
-    static CORES: OnceLock<usize> = OnceLock::new();
-    let cores = *CORES.get_or_init(|| std::thread::available_parallelism().map_or(1, |n| n.get()));
-    2 * RUNNING.load(Ordering::Relaxed) <= cores
 }
 
 /// What a thread blocks for in [`Execution::wait_for`].
@@ -124,9 +97,9 @@ impl Await {
         }
     }
 
-    /// Reads the lock-free mirrors while spinning: `Some(true)` when the
+    /// Reads the lock-free mirrors before parking: `Some(true)` when the
     /// wait looks over, `Some(false)` when the waiter should park now,
-    /// `None` to keep spinning.
+    /// `None` to keep spinning or yielding.
     fn hint(self, turn: usize, abort: bool) -> Option<bool> {
         match self {
             Await::Task(i) if turn == i || abort => Some(true),
@@ -353,10 +326,10 @@ impl Execution {
         }
     }
 
-    /// Blocks until `what` holds: spins on the mirrors while
-    /// [`spin_allowed`] and [`Await::hint`] say so, then parks, and
-    /// re-checks under the lock after every wakeup. Returns `false` only
-    /// when `deadline` passes first.
+    /// Blocks until `what` holds: spins or yields, then parks, in
+    /// [`wait::wait`] as [`Await::hint`] allows, and re-checks under the
+    /// lock after every wakeup. Returns `false` only when `deadline`
+    /// passes first.
     fn wait_for<'a>(
         &'a self,
         mut inner: StdMutexGuard<'a, ExecInner>,
@@ -372,31 +345,13 @@ impl Execution {
                 return (inner, false);
             }
             drop(inner);
-            if !self.spin(what) {
-                match timeout {
-                    Some(left) => std::thread::park_timeout(left),
-                    None => std::thread::park(),
-                }
-            }
+            wait::wait(true, timeout, || {
+                let turn = self.turn_hint.load(Ordering::Acquire);
+                let abort = self.abort_hint.load(Ordering::Acquire);
+                what.hint(turn, abort)
+            });
             inner = self.lock();
         }
-    }
-
-    /// Spins up to [`SPIN_LIMIT`] hints; returns whether the mirrors say
-    /// the wait is over.
-    fn spin(&self, what: Await) -> bool {
-        if !spin_allowed() {
-            return false;
-        }
-        for _ in 0..SPIN_LIMIT {
-            let turn = self.turn_hint.load(Ordering::Acquire);
-            let abort = self.abort_hint.load(Ordering::Acquire);
-            if let Some(over) = what.hint(turn, abort) {
-                return over;
-            }
-            std::hint::spin_loop();
-        }
-        false
     }
 
     /// Launches the root task and runs the controller loop to completion.
@@ -408,7 +363,7 @@ impl Execution {
         observer: &mut dyn SearchObserver,
     ) -> ExecutionResult {
         install_panic_hook();
-        let _running = RunningGuard::enter();
+        let _running = wait::RunningGuard::enter();
         {
             let mut inner = self.lock();
             inner.controller = Some(std::thread::current());

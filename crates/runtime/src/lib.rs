@@ -73,6 +73,7 @@ mod pool;
 mod program;
 pub mod sync;
 pub mod thread;
+mod wait;
 
 pub use config::RuntimeConfig;
 pub use data::DataVar;

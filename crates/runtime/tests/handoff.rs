@@ -4,11 +4,12 @@
 //! outcome thousands of times under randomly chosen schedules: once on
 //! one thread, where a two-core machine lets waiters spin before they
 //! park, and once from four threads at once, where the engine's core
-//! gate makes every waiter park at once. A lost wakeup shows up as a
-//! hang, so every loop runs under a watchdog that fails the test after
-//! 60 s. Afterwards the process must not have accumulated threads: a
-//! worker stranded in `park` never returns to the pool, so every stranded
-//! execution would leave threads behind.
+//! gate is closed and every waiter yields its core a bounded number of
+//! times before it parks. A lost wakeup shows up as a hang, so every
+//! loop runs under a watchdog that fails the test after 60 s. Afterwards
+//! the process must not have accumulated threads: a worker stranded in
+//! `park` never returns to the pool, so every stranded execution would
+//! leave threads behind.
 
 use std::sync::mpsc;
 use std::sync::{Arc, Mutex as StdMutex};
